@@ -224,6 +224,14 @@ impl DetailedArray {
         self.mismatch.set(row, col, 1e-6);
     }
 
+    /// Redraws this instance's mismatch field in place from `seed`, with
+    /// the noise model's capacitor sigma: afterwards the array equals a
+    /// [`DetailedArray::with_seeded_noise`] instance of the same weights,
+    /// noise model and `seed` (killed capacitors come back to life).
+    pub fn resample_mismatch(&mut self, seed: u64) {
+        self.mismatch.resample(self.noise.cap_mismatch_sigma, seed);
+    }
+
     fn cap_at(&self, row: usize, col: usize) -> Farad {
         Farad::new(crate::UNIT_CAP * self.mismatch.get(row, col))
     }
@@ -308,21 +316,27 @@ impl DetailedArray {
 
         // Phase 2 (multiply) + Phase 3 (column accumulation). Cells whose
         // weight bit is 0 discharge but stay connected, so the denominator
-        // covers every cell of the column.
-        let mut column_voltages = Vec::with_capacity(cols);
-        for c in 0..cols {
-            let mut q = 0.0f64;
-            let mut cap = 0.0f64;
-            for r in 0..rows {
-                let c_ij = self.cap_at(r, c).value();
-                cap += c_ij;
-                if self.bits[r * cols + c] {
-                    q += c_ij * row_voltages[r].value();
+        // covers every cell of the column. The walk is row-major over the
+        // storage; each column still sums its rows in ascending order.
+        let mut q = vec![0.0f64; cols];
+        let mut cap = vec![0.0f64; cols];
+        for r in 0..rows {
+            let v = row_voltages[r].value();
+            let mult = self.mismatch.row(r);
+            let bits = &self.bits[r * cols..(r + 1) * cols];
+            for c in 0..cols {
+                let c_ij = crate::UNIT_CAP * mult[c];
+                cap[c] += c_ij;
+                if bits[c] {
+                    q[c] += c_ij * v;
                 }
             }
-            let ideal = q / cap;
-            column_voltages.push(Volt::new(self.noise.settle(self.noise.inject(ideal))));
         }
+        let column_voltages: Vec<Volt> = q
+            .iter()
+            .zip(&cap)
+            .map(|(q, cap)| Volt::new(self.noise.settle(self.noise.inject(q / cap))))
+            .collect();
 
         // Phase 4 — weighted summation within each compute bar: 2^b cells of
         // the bit-b column join the final output line.
@@ -495,6 +509,23 @@ mod tests {
             a.compute_vmm_seeded(&inputs, 5).unwrap(),
             b.compute_vmm_seeded(&inputs, 5).unwrap()
         );
+    }
+
+    #[test]
+    fn resampled_instance_equals_a_freshly_seeded_one() {
+        let geom = ArrayGeometry::fig2_example();
+        let weights = vec![vec![2, 1], vec![3, 0], vec![1, 2]];
+        let noise = NoiseModel::ss_corner();
+        let mut reused =
+            DetailedArray::with_seeded_noise(geom, &weights, MemoryKind::Sram, noise, 1).unwrap();
+        reused.kill_capacitor(0, 0);
+        for seed in [2, 99, 1 << 40] {
+            reused.resample_mismatch(seed);
+            let fresh =
+                DetailedArray::with_seeded_noise(geom, &weights, MemoryKind::Sram, noise, seed)
+                    .unwrap();
+            assert_eq!(reused, fresh, "seed {seed}");
+        }
     }
 
     #[test]

@@ -122,11 +122,23 @@ impl MismatchField {
     /// `seed`. Multipliers are clamped to `[0.5, 1.5]` (a physical capacitor
     /// cannot vanish or double).
     pub fn sample(rows: usize, cols: usize, sigma: f64, seed: u64) -> Self {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mult = (0..rows * cols)
-            .map(|_| (1.0 + sigma * standard_normal(&mut rng)).clamp(0.5, 1.5))
-            .collect();
+        let mult = Self::draws(sigma, seed).take(rows * cols).collect();
         Self { rows, cols, mult }
+    }
+
+    /// Refills every multiplier in place, bit-identical to
+    /// [`MismatchField::sample`] of the same shape, `sigma` and `seed`,
+    /// without allocating.
+    pub(crate) fn resample(&mut self, sigma: f64, seed: u64) {
+        for (m, draw) in self.mult.iter_mut().zip(Self::draws(sigma, seed)) {
+            *m = draw;
+        }
+    }
+
+    /// The clamped multiplier stream, in row-major order.
+    fn draws(sigma: f64, seed: u64) -> impl Iterator<Item = f64> {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        std::iter::repeat_with(move || (1.0 + sigma * standard_normal(&mut rng)).clamp(0.5, 1.5))
     }
 
     /// Number of rows.
@@ -147,6 +159,16 @@ impl MismatchField {
     pub fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.rows && col < self.cols, "mismatch index oob");
         self.mult[row * self.cols + col]
+    }
+
+    /// The multipliers of one row, in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub(crate) fn row(&self, row: usize) -> &[f64] {
+        assert!(row < self.rows, "mismatch index oob");
+        &self.mult[row * self.cols..(row + 1) * self.cols]
     }
 
     /// Overrides the multiplier at `(row, col)` — used by fault injection
@@ -236,20 +258,29 @@ impl MonteCarlo {
         self.runs
     }
 
+    /// The seed of instance `i`, derived deterministically from the
+    /// harness seed.
+    pub fn instance_seed(&self, i: usize) -> u64 {
+        self.seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(i as u64)
+    }
+
     /// Runs `f(instance_seed) -> offset` for each instance and summarizes.
     ///
     /// `f` receives a per-instance seed derived deterministically from the
     /// harness seed, and returns the observed voltage offset (measured −
     /// ideal).
     pub fn run<F: FnMut(u64) -> Volt>(&self, mut f: F) -> MonteCarloReport {
-        let mut offsets: Vec<f64> = Vec::with_capacity(self.runs);
-        for i in 0..self.runs {
-            let instance_seed = self
-                .seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64);
-            offsets.push(f(instance_seed).value());
-        }
+        let offsets: Vec<Volt> = (0..self.runs).map(|i| f(self.instance_seed(i))).collect();
+        self.summarize(&offsets)
+    }
+
+    /// Summarizes offsets given in instance order (`offsets[i]` from
+    /// [`MonteCarlo::instance_seed`]`(i)`), so instances computed in any
+    /// schedule report exactly what [`MonteCarlo::run`] would.
+    pub fn summarize(&self, offsets: &[Volt]) -> MonteCarloReport {
+        let offsets: Vec<f64> = offsets.iter().map(|v| v.value()).collect();
         summarize(&offsets, self.bins)
     }
 }
@@ -315,6 +346,32 @@ mod tests {
             .sum::<f64>()
             / 64.0;
         assert!((mean - 1.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn resampling_in_place_equals_a_fresh_sample() {
+        let mut field = MismatchField::ideal(16, 24);
+        for (sigma, seed) in [(0.01, 0), (0.01, 42), (0.3, 7), (0.016, u64::MAX)] {
+            field.resample(sigma, seed);
+            assert_eq!(
+                field,
+                MismatchField::sample(16, 24, sigma, seed),
+                "seed {seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn summarizing_instance_ordered_offsets_equals_run() {
+        let mc = MonteCarlo::new(300, 5);
+        let offset = |seed: u64| {
+            let mut rng = ChaCha12Rng::seed_from_u64(seed);
+            Volt::new(1e-3 * standard_normal(&mut rng))
+        };
+        let offsets: Vec<Volt> = (0..mc.runs())
+            .map(|i| offset(mc.instance_seed(i)))
+            .collect();
+        assert_eq!(mc.summarize(&offsets), mc.run(offset));
     }
 
     #[test]

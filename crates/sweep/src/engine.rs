@@ -4,7 +4,7 @@
 use crate::api::{Metrics, SweepError};
 use crate::cache::ResultCache;
 use crate::eval;
-use crate::executor;
+use crate::executor::{self, JobBudget};
 use crate::scenario::Scenario;
 use serde::{Deserialize, Serialize, Value};
 use std::time::Instant;
@@ -128,7 +128,8 @@ impl Engine {
         self
     }
 
-    /// Sets the worker count (`1` = serial).
+    /// Sets the worker count (`1` = serial): the run's [`JobBudget`], shared
+    /// by cell workers and fan-outs inside cells.
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -161,10 +162,10 @@ impl Engine {
         O: Fn(usize, &CellResult) + Sync,
     {
         let start = Instant::now();
-        let cells = executor::run_indexed_observed(
+        let budget = JobBudget::new(self.jobs);
+        let cells = budget.run_cells(
             scenarios.len(),
-            self.jobs,
-            |i| self.run_cell(&scenarios[i]),
+            |i| self.run_cell(&scenarios[i], &budget),
             observe,
         );
         let hits = cells.iter().filter(|c| c.cached).count();
@@ -177,7 +178,9 @@ impl Engine {
         }
     }
 
-    fn run_cell(&self, scenario: &Scenario) -> CellResult {
+    /// Looks one cell up or computes it; a computing cell may fan out
+    /// over spare tokens of the run's `budget`.
+    fn run_cell(&self, scenario: &Scenario, budget: &JobBudget) -> CellResult {
         // Hash, store, and compare the canonical form so differently
         // spelled but semantically identical scenarios share one entry.
         let kind = scenario.kind.normalized();
@@ -200,7 +203,7 @@ impl Engine {
                 }
             }
         }
-        match eval::evaluate(&kind) {
+        match eval::evaluate_with(&kind, budget) {
             Ok(metrics) => {
                 if let Some(cache) = &self.cache {
                     if let Err(e) = cache.store(&key, &kind, &metrics.cache_value()) {

@@ -6,6 +6,7 @@
 //! structured [`SweepError`] instead of raw JSON and strings.
 
 use crate::api::{Metrics, SweepError};
+use crate::executor::JobBudget;
 use crate::scenario::{AcceleratorKind, ScenarioKind};
 use serde::{Deserialize, Serialize};
 use yoco::pipeline::{AttentionDims, AttentionPipeline};
@@ -51,13 +52,23 @@ pub struct AttentionMetrics {
     pub speedup: f64,
 }
 
-/// Evaluates one scenario to its typed payload.
+/// Evaluates one scenario to its typed payload, serially on the calling
+/// thread.
 ///
 /// Resolution *is* validation here — workload and design resolve exactly
 /// once, and the cheap guards ([`crate::scenario`]'s baseline/dims
 /// checks, shared with [`ScenarioKind::validate`]) run inline, so a cell
 /// that went through [`crate::api::ScenarioBuilder`] pays nothing twice.
 pub fn evaluate(kind: &ScenarioKind) -> Result<Metrics, SweepError> {
+    evaluate_with(kind, &JobBudget::new(1))
+}
+
+/// [`evaluate`], letting a study fan out over spare tokens of `budget`;
+/// the payload is the same whatever the budget.
+pub(crate) fn evaluate_with(
+    kind: &ScenarioKind,
+    budget: &JobBudget,
+) -> Result<Metrics, SweepError> {
     match kind {
         ScenarioKind::Gemm {
             accelerator,
@@ -105,7 +116,7 @@ pub fn evaluate(kind: &ScenarioKind) -> Result<Metrics, SweepError> {
                 speedup: r.speedup(),
             }))
         }
-        ScenarioKind::Study { study } => crate::studies::run(*study).map(Metrics::Study),
+        ScenarioKind::Study { study } => crate::studies::run(*study, budget).map(Metrics::Study),
     }
 }
 

@@ -16,7 +16,9 @@
 //!   evenly across requests in flight at admission time
 //!   ([`split_jobs`]), so a request arriving behind a huge batch still
 //!   gets its fair share of workers (see `split_jobs` for the
-//!   transient-oversubscription caveat).
+//!   transient-oversubscription caveat). The share is the request's
+//!   [`JobBudget`](crate::executor::JobBudget): in-cell helpers (the
+//!   Fig 6(d) Monte Carlo) only take its spare tokens, never more.
 //! * **Streaming** — protocol-v2 requests are answered incrementally
 //!   (`Accepted` at admission, one `Cell` frame per scenario in
 //!   completion order via [`Engine::run_with`], then `Done`), so large
@@ -272,6 +274,11 @@ impl Drop for Ticket<'_> {
 
 /// Splits a total worker budget evenly across in-flight requests,
 /// never starving a request below one worker.
+///
+/// The share becomes the request's [`JobBudget`](crate::executor::JobBudget):
+/// its cell workers and every fan-out inside its cells draw on those
+/// tokens, and an in-cell helper starts only on a spare one, so a
+/// request's live compute threads never exceed its share.
 ///
 /// Each request's share is fixed at its own admission (a running
 /// request's scoped-thread pool cannot be resized), so the budget is an

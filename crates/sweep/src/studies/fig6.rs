@@ -1,11 +1,15 @@
 //! Fig 6 computations: circuit accuracy characterization, lifted out of
 //! the `fig6` bin so they run (and cache) through the engine.
 //!
-//! The numeric logic is byte-for-byte the seed's; only the location moved.
+//! The numeric output is pinned by the golden digests in
+//! `tests/golden_digests.rs`: reusing arrays across sweep points and
+//! running Fig 6(d)'s instances in parallel must not change a bit.
 
 use crate::api::SweepError;
+use crate::executor::JobBudget;
 use serde::{Deserialize, Serialize};
 use yoco_circuit::dac::DacTransfer;
+use yoco_circuit::units::Volt;
 use yoco_circuit::variation::{MismatchField, MonteCarloReport};
 use yoco_circuit::{ArrayGeometry, DetailedArray, MemoryKind, MonteCarlo, NoiseModel};
 
@@ -58,10 +62,20 @@ pub struct Fig6bcRecord {
     pub max_err_pct: f64,
 }
 
-/// Computes Fig 6(b)/(c).
+/// Computes Fig 6(b)/(c). Every sweep point is the same seed-1234
+/// instance with new weights, so the array is built once and rewritten.
 pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
+    let fail = |e| SweepError::evaluation("study/fig6bc", e);
     let geom = ArrayGeometry::yoco_default();
     let fs = geom.full_scale_voltage().value();
+    let mut array = DetailedArray::with_seeded_noise(
+        geom,
+        &vec![vec![0; geom.num_cbs()]; geom.rows()],
+        MemoryKind::Sram,
+        NoiseModel::tt_corner(),
+        1234,
+    )
+    .map_err(fail)?;
     let mut codes = Vec::new();
     let mut wv = Vec::new();
     let mut iv = Vec::new();
@@ -74,18 +88,10 @@ pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
         // Red curve: inputs swept, weight fixed at 255.
         for (sweep_w, volts, errs) in [(true, &mut wv, &mut we), (false, &mut iv, &mut ie)] {
             let (w, x) = if sweep_w { (code, 255) } else { (255, code) };
-            let weights = vec![vec![w; 32]; 128];
-            let array = DetailedArray::with_seeded_noise(
-                geom,
-                &weights,
-                MemoryKind::Sram,
-                NoiseModel::tt_corner(),
-                1234,
-            )
-            .map_err(|e| SweepError::evaluation("study/fig6bc", e))?;
+            array.write_weights(&vec![vec![w; 32]; 128]).map_err(fail)?;
             let out = array
                 .compute_vmm_seeded(&vec![x; 128], code as u64)
-                .map_err(|e| SweepError::evaluation("study/fig6bc", e))?;
+                .map_err(fail)?;
             let v = out.cb_voltages[0].value();
             let ideal = geom.dot_to_voltage(128.0 * (w * x) as f64).value();
             let err = (v - ideal) / fs * 100.0;
@@ -104,9 +110,21 @@ pub fn fig6bc() -> Result<Fig6bcRecord, SweepError> {
     })
 }
 
+/// Monte-Carlo instances per fan-out item of [`fig6d`]: each item reuses
+/// one array for its instances, and is short enough (tens of
+/// milliseconds) that a freed worker joins soon.
+const FIG6D_CHUNK: usize = 32;
+
 /// Computes Fig 6(d): the 2000-run Monte-Carlo voltage-offset
 /// distribution at TT, 25 °C.
-pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
+///
+/// Instances run in contiguous chunks fanned out over spare tokens of
+/// `budget`. Each chunk builds one array and resamples its mismatch
+/// field in place for every further instance, which is bit-identical to
+/// building the instance from its seed, and the offsets are summarized
+/// in instance order — so the report is the same at any budget.
+pub fn fig6d(budget: &JobBudget) -> Result<MonteCarloReport, SweepError> {
+    let fail = |e| SweepError::evaluation("study/fig6d", e);
     let geom = ArrayGeometry::yoco_default();
     let weights: Vec<Vec<u32>> = (0..128)
         .map(|r| {
@@ -116,7 +134,7 @@ pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
         })
         .collect();
     let inputs: Vec<u32> = (0..128).map(|r| ((r * 97 + 31) % 256) as u32).collect();
-    let nominal = DetailedArray::with_noise(
+    let v_nom = DetailedArray::with_noise(
         geom,
         &weights,
         MemoryKind::Sram,
@@ -127,26 +145,35 @@ pub fn fig6d() -> Result<MonteCarloReport, SweepError> {
         },
         MismatchField::ideal(geom.rows(), geom.cols()),
     )
-    .map_err(|e| SweepError::evaluation("study/fig6d", e))?;
-    let v_nom = nominal
-        .compute_vmm(&inputs)
-        .map_err(|e| SweepError::evaluation("study/fig6d", e))?
-        .cb_voltages[0];
+    .and_then(|nominal| nominal.compute_vmm(&inputs))
+    .map_err(fail)?
+    .cb_voltages[0];
     let mc = MonteCarlo::new(2000, 99);
-    Ok(mc.run(|seed| {
-        let inst = DetailedArray::with_seeded_noise(
+    let chunks = budget.fan_out(mc.runs().div_ceil(FIG6D_CHUNK), |c| {
+        let instances = c * FIG6D_CHUNK..((c + 1) * FIG6D_CHUNK).min(mc.runs());
+        let mut inst = DetailedArray::with_seeded_noise(
             geom,
             &weights,
             MemoryKind::Sram,
             NoiseModel::tt_corner(),
-            seed,
-        )
-        .expect("valid weights");
-        inst.compute_vmm_seeded(&inputs, seed ^ 0xABCD)
-            .expect("valid inputs")
-            .cb_voltages[0]
-            - v_nom
-    }))
+            mc.instance_seed(instances.start),
+        )?;
+        let mut offsets = Vec::with_capacity(instances.len());
+        for i in instances.clone() {
+            let seed = mc.instance_seed(i);
+            if i > instances.start {
+                inst.resample_mismatch(seed);
+            }
+            offsets.push(inst.compute_vmm_seeded(&inputs, seed ^ 0xABCD)?.cb_voltages[0] - v_nom);
+        }
+        Ok(offsets)
+    });
+    let offsets: Vec<Volt> = chunks
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(fail)?
+        .concat();
+    Ok(mc.summarize(&offsets))
 }
 
 /// Fig 6(f): one stand-in benchmark's accuracy comparison.
@@ -203,7 +230,7 @@ mod tests {
 
     #[test]
     fn fig6d_offsets_stay_under_one_lsb() {
-        let r = fig6d().unwrap();
+        let r = fig6d(&JobBudget::new(2)).unwrap();
         assert_eq!(r.runs, 2000);
         assert!(r.within_one_lsb(), "3σ = {} mV", r.three_sigma_mv());
     }

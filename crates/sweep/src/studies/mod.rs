@@ -7,6 +7,7 @@ pub mod fig6;
 pub mod overview;
 
 use crate::api::SweepError;
+use crate::executor::JobBudget;
 use crate::scenario::StudyId;
 use serde::{Deserialize, Serialize, Value};
 use yoco::YocoChip;
@@ -209,13 +210,14 @@ impl StudyMetrics {
     }
 }
 
-/// Evaluates one study to its typed payload.
-pub fn run(study: StudyId) -> Result<StudyMetrics, SweepError> {
+/// Evaluates one study to its typed payload; the Fig 6(d) Monte Carlo
+/// fans out over spare tokens of `budget`.
+pub fn run(study: StudyId, budget: &JobBudget) -> Result<StudyMetrics, SweepError> {
     Ok(match study {
         StudyId::Fig1c => StudyMetrics::Fig1c(overview::fig1c()),
         StudyId::Fig6a => StudyMetrics::Fig6a(fig6::fig6a()?),
         StudyId::Fig6bc => StudyMetrics::Fig6bc(fig6::fig6bc()?),
-        StudyId::Fig6d => StudyMetrics::Fig6d(fig6::fig6d()?),
+        StudyId::Fig6d => StudyMetrics::Fig6d(fig6::fig6d(budget)?),
         StudyId::Fig6e => StudyMetrics::Fig6e(yoco_baselines::prior::fig6e_error_ladder()),
         StudyId::Fig6f => StudyMetrics::Fig6f(fig6::fig6f()?),
         StudyId::Fig7 => StudyMetrics::Fig7(yoco_baselines::prior::fig7_rows()),
@@ -248,7 +250,8 @@ mod tests {
             if matches!(study, StudyId::Fig6bc | StudyId::Fig6f) {
                 continue;
             }
-            let m = run(study).unwrap_or_else(|e| panic!("{}: {e}", study.name()));
+            let m =
+                run(study, &JobBudget::new(1)).unwrap_or_else(|e| panic!("{}: {e}", study.name()));
             assert_eq!(m.study_id(), study);
             assert!(!m.cache_value().is_null(), "{} produced null", study.name());
         }
@@ -257,12 +260,12 @@ mod tests {
     #[test]
     fn study_payloads_round_trip_through_cache_values() {
         for study in [StudyId::Fig7, StudyId::Table2, StudyId::Models] {
-            let m = run(study).unwrap();
+            let m = run(study, &JobBudget::new(1)).unwrap();
             let back = StudyMetrics::from_cache_value(study, &m.cache_value()).unwrap();
             assert_eq!(m, back, "{}", study.name());
         }
         // Wrong study id for a payload shape is a schema mismatch.
-        let m = run(StudyId::Table2).unwrap();
+        let m = run(StudyId::Table2, &JobBudget::new(1)).unwrap();
         assert!(StudyMetrics::from_cache_value(StudyId::Fig7, &m.cache_value()).is_err());
     }
 
