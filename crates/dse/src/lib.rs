@@ -12,9 +12,10 @@
 //!   energy, latency, power, area via the arch/mem area models) extracted
 //!   from [`yoco_sweep::Metrics`] into an [`ObjectiveSpace`] with
 //!   per-axis maximize/minimize directions;
-//! * [`explore`] — search drivers: exhaustive enumeration, seeded-random
-//!   sampling, and a coordinate-descent hill climber, all evaluating
-//!   through the engine (so repeated runs converge from cache hits);
+//! * [`explore`](mod@explore) — search drivers: exhaustive enumeration,
+//!   seeded-random sampling, and a coordinate-descent hill climber, all
+//!   evaluating through the engine (so repeated runs converge from cache
+//!   hits);
 //! * [`pareto`] — exact Pareto-front assembly over every evaluated point;
 //! * [`report`] — the deterministic [`DseReport`] (front + dominated
 //!   count + per-knob sensitivity) as canonical JSON plus a CSV dump.

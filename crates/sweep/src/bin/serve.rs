@@ -44,7 +44,7 @@ use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use yoco_sweep::cluster::{serve_coordinator, ClusterConfig};
-use yoco_sweep::serve::{listen, serve_reactor, LineHandler, ReactorConfig, Runtime, ServeConfig};
+use yoco_sweep::serve::{listen, serve_reactor, ReactorConfig, Runtime, ServeConfig};
 use yoco_sweep::{Engine, ResultCache};
 
 fn usage() -> &'static str {
@@ -191,8 +191,8 @@ fn main() -> ExitCode {
         }
         let _ = std::io::stdout().flush();
         let reactor_config = ReactorConfig::for_queue_depth(config.queue_depth);
-        let handler: Arc<dyn LineHandler> = Arc::new(Runtime::new(engine, config));
-        if let Err(e) = serve_reactor(listener, handler, quiet, reactor_config) {
+        let runtime = Arc::new(Runtime::new(engine, config));
+        if let Err(e) = serve_reactor(listener, runtime, quiet, reactor_config) {
             return fail(&format!("reactor failed: {e}"));
         }
     }

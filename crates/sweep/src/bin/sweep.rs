@@ -1112,7 +1112,7 @@ fn cluster_run(workers: &[String], args: &[String]) -> ExitCode {
         );
     }
     let start = Instant::now();
-    let result = fan_out(&pool, &selected, &id, &scenarios, force, &|cell, _| {
+    let result = fan_out(&pool, &selected, &id, &scenarios, force, &|_, cell, _| {
         if !quiet {
             println!("  cell {} {}", cell.id, status_word(cell.status));
         }

@@ -1,26 +1,18 @@
-//! The fan-out core and the protocol-speaking [`Coordinator`].
+//! The fan-out core behind the cluster [`Coordinator`].
 //!
 //! [`fan_out`] is a pure orchestration function over a [`WorkerPool`]:
 //! partition → dispatch → merge → requeue, no sockets, no protocol —
 //! which is what makes the requeue semantics unit-testable. The
-//! [`Coordinator`] wraps it with the same admission gate, tally, and
-//! NDJSON dispatch shape as the single-box
-//! [`Runtime`](crate::serve::Runtime), so both plug into the shared
-//! epoll reactor ([`serve_reactor`](crate::serve::serve_reactor))
-//! unchanged.
+//! coordinator itself is a [`Runtime`] with a fan-out backend: the
+//! gate, tally, trace records and both protocols are the single-box
+//! runtime's own, and [`fan_out`] is just where its cells come from.
 
-use crate::api::{
-    CellOutcome, CellStatus, EvalRequest, EvalResponse, Response, Shard, StatusReport, SweepError,
-    API_V1,
-};
-use crate::cluster::pool::{select_workers, ShardOutcome, TcpPool, WorkerPool};
+use crate::api::{CellOutcome, CellStatus, EvalRequest, Response, Shard, SweepError};
+use crate::cluster::pool::{ShardOutcome, WorkerPool};
 use crate::engine::{CellResult, SweepReport};
 use crate::scenario::Scenario;
-use crate::serve::{
-    reject_buffered, reject_streaming, FrameSink, Gate, LatchSink, LineHandler, Served, Tally,
-    DEFAULT_QUEUE_DEPTH, RETRY_QUANTUM_MS,
-};
-use crate::telemetry::{self, trace};
+use crate::serve::{Runtime, DEFAULT_QUEUE_DEPTH};
+use crate::telemetry;
 use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -85,9 +77,11 @@ struct FanState {
 }
 
 /// Fans `scenarios` out over `workers` (already probed and ordered by
-/// [`select_workers`]) and merges the streamed cells back, calling
-/// `emit(cell, raw_line)` exactly once per scenario as its outcome
-/// arrives (worker frames are forwarded with their original bytes).
+/// [`select_workers`](super::select_workers)) and merges the streamed
+/// cells back, calling `emit(index, cell, raw_line)` exactly once per
+/// scenario as its outcome arrives (`index` is the scenario's position
+/// in `scenarios`; worker frames are forwarded with their original
+/// bytes).
 /// `emit` runs on the dispatch threads *outside* the merge lock and may
 /// be called concurrently — callers serialize their own sink.
 ///
@@ -105,7 +99,7 @@ pub fn fan_out(
     id: &str,
     scenarios: &[Scenario],
     force: bool,
-    emit: &(dyn Fn(&CellOutcome, &str) + Sync),
+    emit: &(dyn Fn(usize, &CellOutcome, &str) + Sync),
 ) -> FanoutResult {
     let state = Mutex::new(FanState {
         outcomes: vec![None; scenarios.len()],
@@ -171,16 +165,14 @@ pub fn fan_out(
                             // (emit callees do their own serialization).
                             let claimed = {
                                 let mut st = state.lock().expect("fan-out state");
-                                match claim(&mut st.pending[k], scenarios, keys, &cell) {
-                                    Some(idx) => {
-                                        st.outcomes[idx] = Some(cell.clone());
-                                        true
-                                    }
-                                    None => false,
+                                let idx = claim(&mut st.pending[k], scenarios, keys, &cell);
+                                if let Some(idx) = idx {
+                                    st.outcomes[idx] = Some(cell.clone());
                                 }
+                                idx
                             };
-                            if claimed {
-                                emit(&cell, raw);
+                            if let Some(idx) = claimed {
+                                emit(idx, &cell, raw);
                             }
                         });
                         telemetry::global().observe_dispatch(&addr, dispatch_started.elapsed());
@@ -239,7 +231,8 @@ pub fn fan_out(
         .outcomes
         .into_iter()
         .zip(scenarios)
-        .map(|(outcome, scenario)| {
+        .enumerate()
+        .map(|(idx, (outcome, scenario))| {
             outcome.unwrap_or_else(|| {
                 let cell = CellOutcome {
                     id: scenario.id.clone(),
@@ -253,7 +246,7 @@ pub fn fan_out(
                 };
                 let raw = serde_json::to_string(&Response::Cell(cell.clone()))
                     .expect("frame serialization is infallible");
-                emit(&cell, &raw);
+                emit(idx, &cell, &raw);
                 cell
             })
         })
@@ -324,318 +317,12 @@ impl ClusterConfig {
     }
 }
 
-/// The cluster front: speaks the ordinary v1/v2 NDJSON protocol to
-/// clients and fans admitted requests out over the worker hosts.
-/// Plugs into [`crate::serve::serve_reactor`] exactly like the
-/// single-box runtime.
-pub struct Coordinator {
-    pool: Box<dyn WorkerPool + Send + Sync>,
-    workers: Vec<String>,
-    gate: Gate,
-    tally: Tally,
-}
-
-impl std::fmt::Debug for Coordinator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Coordinator")
-            .field("workers", &self.workers)
-            .field("queue_depth", &self.gate.depth())
-            .finish()
-    }
-}
-
-impl Coordinator {
-    /// A coordinator dispatching over TCP ([`TcpPool`]).
-    pub fn new(config: ClusterConfig) -> Self {
-        Self::with_pool(Box::new(TcpPool::default()), config)
-    }
-
-    /// A coordinator over an explicit pool (tests inject fakes here).
-    pub fn with_pool(pool: Box<dyn WorkerPool + Send + Sync>, config: ClusterConfig) -> Self {
-        Self {
-            pool,
-            workers: config.workers,
-            gate: Gate::new(config.queue_depth),
-            tally: Tally::default(),
-        }
-    }
-
-    /// The coordinator's admission gate (exposed for observability).
-    pub fn gate(&self) -> &Gate {
-        &self.gate
-    }
-
-    /// The configured worker addresses.
-    pub fn workers(&self) -> &[String] {
-        &self.workers
-    }
-
-    /// The coordinator's [`StatusReport`]: its own gate and counters
-    /// (`role: "coordinator"`), not an aggregate over workers — probe
-    /// each worker for theirs.
-    pub fn status(&self) -> StatusReport {
-        let telem = telemetry::global();
-        let mut report = StatusReport {
-            role: "coordinator".into(),
-            workers: self.workers.len(),
-            occupancy: self.gate.occupancy(),
-            queue_depth: self.gate.depth(),
-            service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
-            busy_ms: self.gate.slot_held_ms(),
-            fd_sheds: telem.fd_sheds(),
-            slow_reader_disconnects: telem.slow_reader_disconnects(),
-            ..StatusReport::default()
-        };
-        self.tally.fill(&mut report);
-        report
-    }
-
-    /// Handles one client line end to end — the coordinator-side mirror
-    /// of [`crate::serve::Runtime::handle_line`], on the same shared
-    /// dispatch.
-    pub fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
-        self.handle_line_at(line, Instant::now(), sink)
-    }
-
-    /// [`Coordinator::handle_line`] with an explicit receipt instant
-    /// (see [`crate::serve::Runtime::handle_line_at`]): deadline
-    /// checks measure queueing from when the transport parsed the
-    /// line, which under the reactor includes worker-pool wait.
-    pub fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        crate::serve::dispatch_line(
-            line,
-            sink,
-            "this coordinator",
-            || self.status(),
-            |req, sink| self.eval_buffered(req, received, sink),
-            |req, sink| self.eval_streaming(req, received, sink),
-        )
-    }
-
-    /// Probes and selects workers for one admitted request.
-    fn selection(&self) -> Vec<String> {
-        select_workers(&*self.pool, &self.workers)
-    }
-
-    /// Protocol v1 through the cluster: admission, silent fan-out, one
-    /// buffered [`EvalResponse`] — byte-identical to a single box's
-    /// response for the same batch (cells in request order, identical
-    /// statuses and payloads).
-    fn eval_buffered(
-        &self,
-        req: EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let mut ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let (span, fan_id) = observe_fanout_admission(&req, received);
-        let selected = self.selection();
-        if selected.is_empty() {
-            // No worker answered its probe — most likely transient
-            // (restart, network blip), so answer retryable Busy with
-            // the cold-start quantum rather than a hard failure. A
-            // rejection's duration (probe timeouts) is not service
-            // time; keep it out of the retry-hint EWMA.
-            ticket.skip_service_record();
-            return reject_buffered(sink, &self.tally, req.id, RETRY_QUANTUM_MS);
-        }
-        let fan_started = Instant::now();
-        let result = fan_out(
-            &*self.pool,
-            &selected,
-            &fan_id,
-            &req.scenarios,
-            req.force,
-            &|_, _| {},
-        );
-        observe_fanout_eval(&req, span.as_deref(), fan_started);
-        match result {
-            FanoutResult::AllBusy { retry_after_ms } => {
-                ticket.skip_service_record();
-                reject_buffered(sink, &self.tally, req.id, retry_after_ms)
-            }
-            FanoutResult::Ran(out) => {
-                let response = EvalResponse {
-                    version: API_V1,
-                    id: req.id.clone(),
-                    cells: out.cells,
-                    hits: out.hits,
-                    misses: out.misses,
-                    error: None,
-                };
-                let cells = response.cells.len();
-                // Free the slot before the response line: a client
-                // reacting to it instantly must see its slot back.
-                drop(ticket);
-                let flush_started = Instant::now();
-                sink.send(&Response::Eval(response))?;
-                self.tally.note_eval(cells, out.hits, out.misses);
-                observe_fanout_flush(&req, span.as_deref(), flush_started, cells);
-                Ok(Served::Eval {
-                    id: req.id,
-                    cells,
-                    hits: out.hits,
-                    misses: out.misses,
-                    streamed: false,
-                })
-            }
-        }
-    }
-
-    /// Protocol v2 through the cluster: `Accepted` at admission, worker
-    /// `Cell` frames forwarded verbatim (original bytes) as they
-    /// arrive from any worker, then one merged `Done`. If every worker
-    /// refuses admission before any cell flows, the stream closes with
-    /// a `Busy` frame instead of `Done`.
-    fn eval_streaming(
-        &self,
-        req: EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let mut ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let (span, fan_id) = observe_fanout_admission(&req, received);
-        let selected = self.selection();
-        if selected.is_empty() {
-            // No worker answered its probe — most likely transient, so
-            // answer retryable Busy; a rejection's duration is not
-            // service time (see eval_buffered).
-            ticket.skip_service_record();
-            return reject_streaming(sink, &self.tally, req.id, RETRY_QUANTUM_MS);
-        }
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        // Worker frames arrive concurrently on dispatch threads; the
-        // latch serializes the forwards and, past the first transport
-        // error, stops writing but lets the fan-out finish — the
-        // workers' caches still fill, so the client's retry is warm.
-        let fan_started = Instant::now();
-        let latch = LatchSink::new(sink);
-        let result = fan_out(
-            &*self.pool,
-            &selected,
-            &fan_id,
-            &req.scenarios,
-            req.force,
-            &|_, raw| latch.send_raw(raw),
-        );
-        let (sink, error) = latch.finish();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        observe_fanout_eval(&req, span.as_deref(), fan_started);
-        match result {
-            FanoutResult::AllBusy { retry_after_ms } => {
-                ticket.skip_service_record();
-                reject_streaming(sink, &self.tally, req.id, retry_after_ms)
-            }
-            FanoutResult::Ran(out) => {
-                drop(ticket);
-                let flush_started = Instant::now();
-                sink.send(&Response::Done {
-                    id: req.id.clone(),
-                    hits: out.hits,
-                    misses: out.misses,
-                })?;
-                self.tally.note_eval(out.cells.len(), out.hits, out.misses);
-                observe_fanout_flush(&req, span.as_deref(), flush_started, out.cells.len());
-                Ok(Served::Eval {
-                    id: req.id,
-                    cells: out.cells.len(),
-                    hits: out.hits,
-                    misses: out.misses,
-                    streamed: true,
-                })
-            }
-        }
-    }
-}
-
-/// The coordinator's post-admission bookkeeping: the queue-wait sample
-/// plus, when tracing is on, the request's span with its `queued`
-/// record — and the fan-out id workers see. Embedding the span after a
-/// `#t` marker inside the sub-request id is what stitches a fan-out
-/// trace across hosts: each worker adopts the embedded span for its own
-/// stage records instead of minting a fresh one.
-fn observe_fanout_admission(req: &EvalRequest, received: Instant) -> (Option<String>, String) {
-    let queued = received.elapsed();
-    telemetry::global().observe_queue_wait(queued);
-    let Some(span) = trace::span_for_request(&req.id) else {
-        return (None, req.id.clone());
-    };
-    trace::record(
-        &span,
-        &req.id,
-        &crate::serve::trace_grid(&req.scenarios),
-        "queued",
-        queued,
-        req.scenarios.len(),
-    );
-    let fan_id = format!("{}#t{}", req.id, span);
-    (Some(span), fan_id)
-}
-
-/// The coordinator's `eval` stage is the fan-out itself: dispatch,
-/// merge, and any requeue rounds.
-fn observe_fanout_eval(req: &EvalRequest, span: Option<&str>, started: Instant) {
-    let fanned = started.elapsed();
-    telemetry::global().observe_eval(fanned);
-    if let Some(span) = span {
-        trace::record(
-            span,
-            &req.id,
-            &crate::serve::trace_grid(&req.scenarios),
-            "eval",
-            fanned,
-            req.scenarios.len(),
-        );
-    }
-}
-
-/// The coordinator's `flush` stage: merged result → terminal frame
-/// buffered toward the client.
-fn observe_fanout_flush(req: &EvalRequest, span: Option<&str>, started: Instant, cells: usize) {
-    let flushed = started.elapsed();
-    telemetry::global().observe_flush(flushed);
-    if let Some(span) = span {
-        trace::record(
-            span,
-            &req.id,
-            &crate::serve::trace_grid(&req.scenarios),
-            "flush",
-            flushed,
-            cells,
-        );
-    }
-}
-
-impl LineHandler for Coordinator {
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        Coordinator::handle_line_at(self, line, received, sink)
-    }
-}
+/// The cluster front: a [`Runtime`] whose backend fans every admitted
+/// request out over worker hosts ([`Runtime::coordinator`] over TCP,
+/// [`Runtime::with_pool`] over any [`WorkerPool`]). It speaks the
+/// ordinary v1/v2 protocol through the same gate, tally and eval path
+/// as a single box.
+pub type Coordinator = Runtime;
 
 /// The whole coordinator bring-up shared by `yoco-serve --coordinator`
 /// and `sweep cluster serve`: bind, print the ready line
@@ -660,15 +347,18 @@ pub fn serve_coordinator(
     }
     let _ = std::io::Write::flush(&mut std::io::stdout());
     let reactor_config = crate::serve::ReactorConfig::for_queue_depth(config.queue_depth);
-    let handler: std::sync::Arc<dyn LineHandler> = std::sync::Arc::new(Coordinator::new(config));
-    crate::serve::serve_reactor(listener, handler, quiet, reactor_config)
+    let runtime = std::sync::Arc::new(Runtime::coordinator(config));
+    crate::serve::serve_reactor(listener, runtime, quiet, reactor_config)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::Request;
+    use crate::api::{Request, StatusReport, API_V1};
+    use crate::cluster::select_workers;
+    use crate::engine::Engine;
     use crate::scenario::StudyId;
+    use crate::serve::{FrameSink, ServeConfig, Served, RETRY_QUANTUM_MS};
     use std::collections::HashMap;
     use std::sync::Mutex as StdMutex;
 
@@ -829,7 +519,7 @@ mod tests {
             "t-1",
             &scenarios,
             false,
-            &|cell, raw| {
+            &|_, cell, raw| {
                 cells_seen.lock().unwrap().push(cell.clone());
                 raws_seen.lock().unwrap().push(raw.to_owned());
             },
@@ -873,7 +563,7 @@ mod tests {
             "t-2",
             &scenarios,
             false,
-            &|cell, _| cells_seen.lock().unwrap().push(cell.clone()),
+            &|_, cell, _| cells_seen.lock().unwrap().push(cell.clone()),
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -920,7 +610,7 @@ mod tests {
             "t-3",
             &scenarios,
             false,
-            &|_, _| {},
+            &|_, _, _| {},
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -949,7 +639,7 @@ mod tests {
             "t-4",
             &grid(3),
             false,
-            &|_, _| {},
+            &|_, _, _| {},
         );
         let FanoutResult::AllBusy { retry_after_ms } = result else {
             panic!("expected AllBusy, got {result:?}");
@@ -974,7 +664,7 @@ mod tests {
             "t-6",
             &grid(2),
             false,
-            &|_, _| {},
+            &|_, _, _| {},
         );
         let FanoutResult::AllBusy { retry_after_ms } = result else {
             panic!("expected AllBusy, got {result:?}");
@@ -1000,7 +690,7 @@ mod tests {
             "t-dup",
             &scenarios,
             false,
-            &|_, _| {},
+            &|_, _, _| {},
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -1025,7 +715,7 @@ mod tests {
             "t-5",
             &scenarios,
             false,
-            &|cell, _| cells_seen.lock().unwrap().push(cell.clone()),
+            &|_, cell, _| cells_seen.lock().unwrap().push(cell.clone()),
         );
         let FanoutResult::Ran(out) = result else {
             panic!("expected Ran, got {result:?}");
@@ -1242,5 +932,58 @@ mod tests {
                 retry_after_ms: 123
             }
         );
+    }
+
+    /// A sink that snapshots the runtime's `served` counter the moment
+    /// the exchange's terminal line (`Done`, or the v1 `Eval`) arrives.
+    struct ServedAtTerminal<'a> {
+        runtime: &'a Runtime,
+        served: Option<u64>,
+    }
+
+    impl FrameSink for ServedAtTerminal<'_> {
+        fn send(&mut self, frame: &Response) -> io::Result<()> {
+            if matches!(frame, Response::Done { .. } | Response::Eval(_)) {
+                self.served = Some(self.runtime.status().served);
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn counters_commit_before_the_terminal_line_on_both_backends() {
+        // A client reacting to the terminal line instantly (a `Status`
+        // probe, say) must already see its exchange counted.
+        let local = Runtime::new(
+            Engine::ephemeral(),
+            ServeConfig {
+                queue_depth: 2,
+                jobs: 2,
+            },
+        );
+        let pool = FakePool::new(&[("a", Behavior::Healthy { occupancy: 0 })]);
+        let fanned = coordinator(pool, &["a"], 2);
+        for (backend, rt) in [("local", &local), ("fan-out", &fanned)] {
+            for (done, streamed) in [false, true].into_iter().enumerate() {
+                let scenarios = vec![Scenario::study(StudyId::Fig9a)];
+                let req = if streamed {
+                    EvalRequest::streaming("counted", scenarios)
+                } else {
+                    EvalRequest::new("counted", scenarios)
+                };
+                let mut sink = ServedAtTerminal {
+                    runtime: rt,
+                    served: None,
+                };
+                rt.handle_line(&line(&Request::Eval(req)), &mut sink)
+                    .unwrap();
+                assert_eq!(
+                    sink.served,
+                    Some(done as u64 + 1),
+                    "{backend} backend, streamed={streamed}: the terminal line \
+                     must find the exchange already counted"
+                );
+            }
+        }
     }
 }

@@ -37,6 +37,13 @@
 //!   same [`SweepReport::canonical_json`](crate::engine::SweepReport)
 //!   path), and warm v1 responses are byte-identical to a single box's.
 //!
+//! The coordinator is not a second server: it is the single-box
+//! [`Runtime`](crate::serve::Runtime) with a fan-out backend in place of
+//! the engine ([`Coordinator`] names that runtime). Admission, the
+//! tally, trace records and the one eval path — v2 forwards the cell
+//! stream, v1 collects it into one envelope — are shared code; this
+//! module supplies only where the cells come from ([`fan_out`]).
+//!
 //! The transport is abstracted behind [`WorkerPool`] — TCP in
 //! production ([`TcpPool`]), in-process fakes in the unit tests — so the
 //! requeue logic is covered without sockets.

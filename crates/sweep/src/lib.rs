@@ -15,16 +15,17 @@
 //!   scoped threads with deterministic, order-independent assembly, and
 //!   per-cell completion callbacks ([`Engine::run_with`]) for streaming
 //!   frontends;
-//! * [`serve`] — the server runtime behind `yoco-serve`: one shared
-//!   engine + cache behind an admission [`serve::Gate`]
+//! * [`serve`] — the server runtime behind `yoco-serve` and the cluster
+//!   coordinator: one shared engine + cache (or a worker fan-out)
+//!   behind an admission [`serve::Gate`]
 //!   (`--queue-depth`, adaptive `retry_after_ms` hints), a worker budget
 //!   split across in-flight requests, streamed protocol-v2 responses,
 //!   warm-response memoization, and the `Status` observability frame;
-//! * [`cluster`] — the multi-host shard fan-out coordinator
-//!   ([`Coordinator`]): one client request partitioned round-robin over
-//!   worker hosts (each a stock `yoco-serve`), streamed `Cell` frames
-//!   merged back into one v1/v2 exchange, unfinished shards requeued on
-//!   worker loss;
+//! * [`cluster`] — multi-host shard fan-out: the [`Coordinator`] is a
+//!   [`Runtime`] whose backend partitions each client request
+//!   round-robin over worker hosts (each a stock `yoco-serve`), merges
+//!   their streamed `Cell` frames back into one v1/v2 exchange, and
+//!   requeues unfinished shards on worker loss;
 //! * [`client`] — the matching blocking client ([`ServeClient`]), used
 //!   by `sweep client`, the cluster coordinator's dispatch path, and the
 //!   service-level tests;

@@ -25,28 +25,38 @@
 //!   grids report progress instead of going silent.
 //! * **Warm-path memoization** — a bounded in-memory memo keyed by the
 //!   request's scenario list holds the pre-serialized `Cell` frame bytes
-//!   (and the matching buffered cells) of completed batches, so a warm
-//!   repeat skips both the per-cell cache re-reads and the per-request
-//!   re-serialization that bounded throughput before.
+//!   of completed batches, so a warm repeat skips both the per-cell
+//!   cache re-reads and the per-request re-serialization that bounded
+//!   throughput before.
 //! * **Observability** — a `"Status"` control line answers a
 //!   [`StatusReport`] (occupancy, queue depth, jobs, service counters)
 //!   without touching the gate, so load balancers — including the
 //!   [`crate::cluster`] coordinator — can probe a fully busy server.
 //!
+//! One [`Runtime`] serves both roles. Its backend is either this box's
+//! engine (`yoco-serve`) or a fan-out over worker hosts (the
+//! [`crate::cluster`] coordinator), and every admitted request — v1 or
+//! v2, on either backend — takes the same eval path: admit, stream the
+//! cells from the memo, the engine or the workers, commit the counters
+//! and the `flush` record, then send the terminal line. Buffered v1 is
+//! a collector over the v2 cell stream: it keeps the cell lines and
+//! splices them into one envelope.
+//!
 //! Frames leave through the [`FrameSink`] trait, so the whole dispatch
 //! ([`Runtime::handle_line`]) is testable in process — `Vec<Response>`
 //! is a sink — while the binaries serve TCP through the event-driven
-//! epoll reactor ([`reactor::serve_reactor`], generic over
-//! [`LineHandler`] so the cluster coordinator reuses it unchanged).
+//! epoll reactor ([`reactor::serve_reactor`]).
 
 use crate::api::{
-    CellOutcome, CellStatus, EvalResponse, Request, Response, StatusReport, SweepError, API_V1,
-    API_V2,
+    CellOutcome, CellStatus, EvalRequest, EvalResponse, Request, Response, StatusReport,
+    SweepError, API_V1, API_V2,
 };
+use crate::cluster::{fan_out, select_workers, ClusterConfig, FanoutResult, TcpPool, WorkerPool};
 use crate::engine::{Engine, SweepReport};
 use crate::executor;
 use crate::scenario::Scenario;
 use crate::telemetry::{self, trace};
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::io::{self, Write};
@@ -290,8 +300,8 @@ pub fn split_jobs(budget: usize, in_flight: usize) -> usize {
     (budget / in_flight.max(1)).max(1)
 }
 
-/// Monotonic service counters shared by the runtime and the cluster
-/// coordinator, surfaced through [`StatusReport`].
+/// Monotonic service counters of a [`Runtime`], surfaced through
+/// [`StatusReport`].
 #[derive(Debug, Default)]
 pub struct Tally {
     served: AtomicU64,
@@ -339,10 +349,10 @@ pub trait FrameSink: Send {
     fn send(&mut self, frame: &Response) -> io::Result<()>;
 
     /// Delivers one already-serialized frame line (no trailing newline).
-    /// The warm-path memo and the cluster coordinator forward frames as
-    /// raw bytes through this, skipping re-serialization; the default
-    /// decodes and falls back to [`FrameSink::send`] so in-process
-    /// collector sinks still see typed frames.
+    /// An eval's cell frames (memoized, freshly serialized, or a
+    /// worker's original bytes) and its terminal line go out through
+    /// this; the default decodes and falls back to [`FrameSink::send`]
+    /// so in-process collector sinks still see typed frames.
     fn send_raw(&mut self, line: &str) -> io::Result<()> {
         let frame = serde_json::from_str::<Response>(line)
             .map_err(|e| io::Error::other(format!("undecodable raw frame {line:?}: {e}")))?;
@@ -457,21 +467,18 @@ impl Served {
 }
 
 /// One memoized cell (status already rewritten to `Hit`), held as its
-/// two pre-serialized wire forms: the v2 `Cell` frame line and the
-/// standalone outcome object spliced into buffered v1 `cells` arrays.
+/// pre-serialized v2 `Cell` frame line; buffered v1 responses splice
+/// the same bytes ([`eval_line`]).
 #[derive(Debug)]
 struct MemoCell {
     line: String,
-    outcome_json: String,
 }
 
 impl MemoCell {
     fn new(outcome: CellOutcome) -> Self {
-        let line = serde_json::to_string(&Response::Cell(outcome.clone()))
-            .expect("frame serialization is infallible");
-        let outcome_json =
-            serde_json::to_string(&outcome).expect("frame serialization is infallible");
-        Self { line, outcome_json }
+        Self {
+            line: cell_line(outcome),
+        }
     }
 }
 
@@ -542,44 +549,23 @@ impl CellMemo {
     }
 }
 
-/// One fully-memoized batch: the shared per-cell entries in request
-/// order plus the pre-assembled v1 `cells` array fragment, so a
-/// buffered warm response splices cached bytes instead of cloning and
-/// re-serializing every outcome.
+/// One fully-memoized batch: the request's scenarios, compared on every
+/// hit, and the shared per-cell entries in request order.
 #[derive(Debug)]
 struct BatchEntry {
+    scenarios: Vec<Scenario>,
     cells: Vec<Arc<MemoCell>>,
-    /// `[<outcome>,<outcome>,…]` — byte-identical to serde's
-    /// serialization of the response's `cells` vector.
-    cells_json: String,
-}
-
-impl BatchEntry {
-    fn assemble(cells: Vec<Arc<MemoCell>>) -> Self {
-        let mut cells_json = String::with_capacity(
-            2 + cells
-                .iter()
-                .map(|c| c.outcome_json.len() + 1)
-                .sum::<usize>(),
-        );
-        cells_json.push('[');
-        for (i, cell) in cells.iter().enumerate() {
-            if i > 0 {
-                cells_json.push(',');
-            }
-            cells_json.push_str(&cell.outcome_json);
-        }
-        cells_json.push(']');
-        Self { cells, cells_json }
-    }
 }
 
 /// The batch-level front of the warm memo: one fingerprint of the
-/// request's scenario list (a single serialize + hash) instead of a
+/// request's scenario list (a single structural hash) instead of a
 /// per-cell key computation per request — on a warm repeat the key
-/// derivation was most of the server's CPU. Entries are assembled from
-/// [`CellMemo`] hits, whose values are deterministic, so a batch entry
-/// can never go stale — only cold. Bounded FIFO like the cell memo.
+/// derivation was most of the server's CPU. A hit also compares the
+/// stored scenarios with the request's, so a fingerprint collision
+/// falls through to the per-cell path instead of answering one batch
+/// with another's cells. Entries are assembled from [`CellMemo`] hits,
+/// whose values are deterministic, so a batch entry can never go
+/// stale — only cold. Bounded FIFO like the cell memo.
 #[derive(Debug)]
 struct BatchMemo {
     entries: HashMap<u64, Arc<BatchEntry>>,
@@ -612,8 +598,12 @@ impl BatchMemo {
         h.finish()
     }
 
-    fn lookup(&self, key: u64) -> Option<Arc<BatchEntry>> {
-        self.entries.get(&key).cloned()
+    /// The entry under `key`, if it was stored for exactly `scenarios`.
+    fn lookup(&self, key: u64, scenarios: &[Scenario]) -> Option<Arc<BatchEntry>> {
+        self.entries
+            .get(&key)
+            .filter(|entry| entry.scenarios == scenarios)
+            .cloned()
     }
 
     fn insert(&mut self, key: u64, entry: Arc<BatchEntry>) {
@@ -640,9 +630,10 @@ const MEMO_BATCH_CAP: usize = 256;
 
 /// Feeds one scenario into `h` structurally: strings as bytes, enums
 /// as discriminants, floats by bit pattern — no text formatting. Every
-/// field that distinguishes two scenarios on the wire must be hashed
-/// here; an omission would let [`BatchMemo`] answer one batch with
-/// another's cells.
+/// field that distinguishes two scenarios on the wire should be hashed
+/// here; an omission cannot serve a wrong answer ([`BatchMemo::lookup`]
+/// compares the scenarios), but it turns distinct batches into
+/// colliding ones that keep evicting each other.
 fn hash_scenario(s: &Scenario, h: &mut impl Hasher) {
     use crate::scenario::{ScenarioKind, WorkloadSpec};
     use std::mem::discriminant;
@@ -699,31 +690,95 @@ fn hash_design(d: &crate::scenario::DesignPoint, h: &mut impl Hasher) {
     d.activity.map(f64::to_bits).hash(h);
 }
 
-/// The shared server runtime: one engine + cache + admission gate,
-/// shared by every connection. The transport (TCP, a test harness)
-/// feeds request lines to [`Runtime::handle_line`] with a sink for the
-/// reply frames.
+/// The shared server runtime: one admission gate, one tally, and one
+/// backend producing the cells — this box's engine ([`Runtime::new`])
+/// or a fan-out over worker hosts ([`Runtime::coordinator`]) — shared
+/// by every connection. The
+/// transport (the reactor, a test harness) feeds request lines to
+/// [`Runtime::handle_line`] with a sink for the reply frames.
 #[derive(Debug)]
 pub struct Runtime {
-    engine: Engine,
+    backend: Backend,
     gate: Gate,
-    jobs_budget: usize,
     tally: Tally,
-    memo: Mutex<CellMemo>,
-    batch_memo: Mutex<BatchMemo>,
+}
+
+/// Where a [`Runtime`]'s cells come from.
+enum Backend {
+    /// This box (`yoco-serve`): the shared engine and cache, the worker
+    /// budget split across in-flight requests, and the two warm memos.
+    Local {
+        engine: Engine,
+        jobs: usize,
+        memo: Mutex<CellMemo>,
+        batch_memo: Mutex<BatchMemo>,
+    },
+    /// A cluster front (`yoco-serve --coordinator`): every admitted
+    /// request fans out over the live worker hosts ([`fan_out`]), each
+    /// a stock `yoco-serve`.
+    FanOut {
+        pool: Box<dyn WorkerPool + Send + Sync>,
+        workers: Vec<String>,
+    },
+}
+
+impl std::fmt::Debug for Backend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Backend::Local { engine, jobs, .. } => f
+                .debug_struct("Local")
+                .field("engine", engine)
+                .field("jobs", jobs)
+                .finish(),
+            Backend::FanOut { workers, .. } => {
+                f.debug_struct("FanOut").field("workers", workers).finish()
+            }
+        }
+    }
+}
+
+/// Where one admitted request's cells come from.
+enum Source<'a> {
+    /// A warm repeat: the memoized frames, replayed in request order.
+    Memo(Arc<BatchEntry>),
+    /// The engine, under this request's job share and `force` flag.
+    Engine(Engine),
+    /// The live workers, least-loaded first.
+    FanOut(&'a dyn WorkerPool, Vec<String>),
 }
 
 impl Runtime {
-    /// A runtime over `engine` (whose own `jobs` setting is overridden
-    /// per request by the split budget).
+    /// A single-box runtime over `engine` (whose own `jobs` setting is
+    /// overridden per request by the split budget).
     pub fn new(engine: Engine, config: ServeConfig) -> Self {
         Self {
-            engine,
+            backend: Backend::Local {
+                engine,
+                jobs: config.jobs.max(1),
+                memo: Mutex::new(CellMemo::new(MEMO_CAP)),
+                batch_memo: Mutex::new(BatchMemo::new(MEMO_BATCH_CAP)),
+            },
             gate: Gate::new(config.queue_depth),
-            jobs_budget: config.jobs.max(1),
             tally: Tally::default(),
-            memo: Mutex::new(CellMemo::new(MEMO_CAP)),
-            batch_memo: Mutex::new(BatchMemo::new(MEMO_BATCH_CAP)),
+        }
+    }
+
+    /// A cluster coordinator dispatching to its workers over TCP
+    /// ([`TcpPool`]).
+    pub fn coordinator(config: ClusterConfig) -> Self {
+        Self::with_pool(Box::new(TcpPool::default()), config)
+    }
+
+    /// A cluster coordinator over an explicit worker pool (tests inject
+    /// fakes here).
+    pub fn with_pool(pool: Box<dyn WorkerPool + Send + Sync>, config: ClusterConfig) -> Self {
+        Self {
+            backend: Backend::FanOut {
+                pool,
+                workers: config.workers,
+            },
+            gate: Gate::new(config.queue_depth),
+            tally: Tally::default(),
         }
     }
 
@@ -732,20 +787,23 @@ impl Runtime {
         &self.gate
     }
 
-    /// The engine policy requests run under.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
     /// The current [`StatusReport`]: occupancy, sizing, and service
-    /// counters. Control-plane — never touches the gate.
+    /// counters. A coordinator reports its own gate and counters
+    /// (`role: "coordinator"`), not an aggregate over its workers —
+    /// probe each worker for theirs. Control-plane: never touches the
+    /// gate.
     pub fn status(&self) -> StatusReport {
+        let (role, workers, jobs) = match &self.backend {
+            Backend::Local { jobs, .. } => ("serve", 0, *jobs),
+            Backend::FanOut { workers, .. } => ("coordinator", workers.len(), 0),
+        };
         let telem = telemetry::global();
         let mut report = StatusReport {
-            role: "serve".into(),
+            role: role.into(),
+            workers,
             occupancy: self.gate.occupancy(),
             queue_depth: self.gate.depth(),
-            jobs: self.jobs_budget,
+            jobs,
             service_estimate_ms: self.gate.service_estimate_ms().round() as u64,
             busy_ms: self.gate.slot_held_ms(),
             fd_sheds: telem.fd_sheds(),
@@ -773,29 +831,79 @@ impl Runtime {
         received: Instant,
         sink: &mut dyn FrameSink,
     ) -> io::Result<Served> {
-        dispatch_line(
-            line,
-            sink,
-            "server",
-            || self.status(),
-            |req, sink| self.eval_buffered(req, received, sink),
-            |req, sink| self.eval_streaming(req, received, sink),
-        )
+        let request = match serde_json::from_str::<Request>(line) {
+            Ok(request) => request,
+            Err(e) => {
+                sink.send(&Response::Error(SweepError::schema("request line", e)))?;
+                return Ok(Served::Malformed);
+            }
+        };
+        let req = match request {
+            Request::Ping => {
+                sink.send(&Response::Pong)?;
+                return Ok(Served::Ping);
+            }
+            Request::Status => {
+                sink.send(&Response::Status(self.status()))?;
+                return Ok(Served::Status);
+            }
+            // Control-plane like `Status`: never touches the gate, so a
+            // fully busy server can still be scraped mid-run.
+            Request::Metrics => {
+                sink.send(&Response::Metrics(telemetry::global().snapshot()))?;
+                return Ok(Served::Metrics);
+            }
+            Request::Shutdown => {
+                sink.send(&Response::Bye)?;
+                return Ok(Served::Shutdown);
+            }
+            Request::Eval(req) => req,
+        };
+        // Every evaluation request received counts — admitted, rejected,
+        // or refused — so `requests_total` reconciles with a load
+        // generator's sent count. Warm memo hits answered on the reactor
+        // thread never get here and count in `try_handle_warm`.
+        telemetry::global().note_request();
+        if req.version != API_V1 && req.version != API_V2 {
+            let speaker = match self.backend {
+                Backend::Local { .. } => "server",
+                Backend::FanOut { .. } => "this coordinator",
+            };
+            sink.send(&Response::Eval(EvalResponse::refusal(
+                req.id.clone(),
+                SweepError::schema(
+                    "request envelope",
+                    format!(
+                        "client speaks version {}, {speaker} speaks {API_V1} \
+                         (buffered) and {API_V2} (streamed)",
+                        req.version
+                    ),
+                ),
+            )))?;
+            return Ok(Served::Refused { id: req.id });
+        }
+        self.eval(req, received, None, sink)
     }
 
     /// Answers `line` on the calling thread iff it can be served
-    /// without compute: an eval request whose every cell is memoized
-    /// (or that the gate rejects outright). `None` defers to
-    /// [`Runtime::handle_line_at`] with no frames emitted. The reactor
-    /// calls this from its event thread, sparing warm repeats the
-    /// worker handoff — two context switches per request, which is
-    /// most of a warm request's latency on a loaded box.
+    /// without compute: an eval request whose every cell is memoized.
+    /// `None` defers to [`Runtime::handle_line_at`] with no frames
+    /// emitted. The reactor calls this from its event thread, sparing
+    /// warm repeats the worker handoff — two context switches per
+    /// request, which is most of a warm request's latency on a loaded
+    /// box.
     pub fn try_handle_warm(
         &self,
         line: &str,
         received: Instant,
         sink: &mut dyn FrameSink,
     ) -> Option<io::Result<Served>> {
+        // Only a local backend with a cache keeps a memo; for any other
+        // the probe would parse every line twice on the event thread.
+        match &self.backend {
+            Backend::Local { engine, .. } if engine.cache().is_some() => {}
+            _ => return None,
+        }
         let Ok(Request::Eval(req)) = serde_json::from_str::<Request>(line) else {
             return None;
         };
@@ -808,55 +916,208 @@ impl Runtime {
         // identical either way).
         let entry = self.memo_lookup(&req)?;
         // This request is handled here for good — it never reaches
-        // `dispatch_line` — so it joins `requests_total` now.
+        // `handle_line_at` — so it joins `requests_total` now.
         telemetry::global().note_request();
-        let streamed = req.version == API_V2;
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
+        Some(self.eval(req, received, Some(entry), sink))
+    }
+
+    /// The one evaluation path, for both protocols and both backends:
+    /// admit, pick the cells' source, stream (v2) or collect (v1) the
+    /// cells, then commit the counters and the `flush` record *before*
+    /// the terminal line — a client reacting to it instantly (a
+    /// `Status` probe, a trace read) must see this exchange already
+    /// counted. `warm` is a memo hit found before admission.
+    fn eval(
+        &self,
+        req: EvalRequest,
+        received: Instant,
+        warm: Option<Arc<BatchEntry>>,
+        sink: &mut dyn FrameSink,
+    ) -> io::Result<Served> {
+        let mut ticket = match self.gate.admit(received, req.deadline_ms) {
             Ok(ticket) => ticket,
-            Err(busy) => {
-                return Some(if streamed {
-                    reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms)
-                } else {
-                    reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms)
-                });
+            Err(busy) => return self.reject(req, busy.retry_after_ms, sink),
+        };
+        let n = req.scenarios.len();
+        let queued = received.elapsed();
+        telemetry::global().observe_queue_wait(queued);
+        let span = trace::span_for_request(&req.id);
+        record_stage(span.as_deref(), &req, "queued", queued, n);
+
+        let source = match (warm, &self.backend) {
+            (Some(entry), _) => Source::Memo(entry),
+            (None, Backend::Local { engine, jobs, .. }) => match self.memo_lookup(&req) {
+                Some(entry) => Source::Memo(entry),
+                None => Source::Engine(
+                    engine
+                        .clone()
+                        .jobs(split_jobs(*jobs, self.gate.occupancy()))
+                        .force(req.force),
+                ),
+            },
+            (None, Backend::FanOut { pool, workers }) => {
+                let live = select_workers(pool.as_ref(), workers);
+                if live.is_empty() {
+                    // No worker answered its probe — most likely
+                    // transient (restart, network blip), so answer
+                    // retryable Busy with the cold-start quantum rather
+                    // than a hard failure. A rejection's duration (probe
+                    // timeouts) is not service time; keep it out of the
+                    // retry-hint EWMA.
+                    ticket.skip_service_record();
+                    return self.reject(req, RETRY_QUANTUM_MS, sink);
+                }
+                Source::FanOut(pool.as_ref(), live)
             }
         };
-        let span = self.observe_admission(&req, received);
-        Some(if streamed {
-            self.eval_streaming_warm(req, ticket, entry, span, sink)
+
+        let streamed = req.version == API_V2;
+        if streamed {
+            sink.send(&Response::Accepted {
+                id: req.id.clone(),
+                position: ticket.position(),
+            })?;
+        }
+        let memo_hit = matches!(source, Source::Memo(_));
+        let started = Instant::now();
+        let cells = Cells::new(sink, (!streamed).then_some(n));
+        let produced = match &source {
+            Source::Memo(entry) => {
+                for (i, cell) in entry.cells.iter().enumerate() {
+                    cells.emit(i, Cow::Borrowed(&cell.line));
+                }
+                Ok((n, 0))
+            }
+            Source::Engine(engine) => {
+                let report = engine.run_with(&req.scenarios, |i, cell| {
+                    cells.emit(i, Cow::Owned(cell_line(CellOutcome::from_cell(cell))));
+                });
+                self.memo_store(&report);
+                Ok((report.hits, report.misses))
+            }
+            Source::FanOut(pool, live) => {
+                // Embedding the span after a `#t` marker in the fan-out
+                // id stitches the trace across hosts: each worker adopts
+                // it for its own stage records.
+                let fan_id = match &span {
+                    Some(span) => format!("{}#t{span}", req.id),
+                    None => req.id.clone(),
+                };
+                let emit = |i: usize, _: &CellOutcome, raw: &str| {
+                    cells.emit(i, Cow::Owned(raw.to_owned()));
+                };
+                match fan_out(*pool, live, &fan_id, &req.scenarios, req.force, &emit) {
+                    FanoutResult::Ran(out) => Ok((out.hits, out.misses)),
+                    FanoutResult::AllBusy { retry_after_ms } => Err(retry_after_ms),
+                }
+            }
+        };
+        let CellsInner { sink, error, held } = cells.finish();
+        if memo_hit {
+            // Memo hits complete in microseconds and never cause
+            // queueing; folding them into the EWMA would collapse the
+            // busy hint while slow requests keep the slots. A replay has
+            // no `eval` stage — its absence is the hit's trace signature.
+            ticket.skip_service_record();
+            telemetry::global().note_memo_served();
         } else {
-            self.eval_buffered_warm(req, ticket, entry, span, sink)
+            let evaled = started.elapsed();
+            telemetry::global().observe_eval(evaled);
+            record_stage(span.as_deref(), &req, "eval", evaled, n);
+        }
+        if let Some(e) = error {
+            return Err(e);
+        }
+        let (hits, misses) = match produced {
+            Ok(split) => split,
+            Err(retry_after_ms) => {
+                ticket.skip_service_record();
+                return self.reject(req, retry_after_ms, sink);
+            }
+        };
+        let flush_started = if memo_hit { started } else { Instant::now() };
+        drop(ticket);
+        self.tally.note_eval(n, hits, misses);
+        let terminal = match held {
+            Some(lines) => eval_line(&req.id, &lines, hits, misses),
+            None => serde_json::to_string(&Response::Done {
+                id: req.id.clone(),
+                hits,
+                misses,
+            })
+            .expect("frame serialization is infallible"),
+        };
+        let flushed = flush_started.elapsed();
+        telemetry::global().observe_flush(flushed);
+        record_stage(span.as_deref(), &req, "flush", flushed, n);
+        sink.send_raw(&terminal)?;
+        Ok(Served::Eval {
+            id: req.id,
+            cells: n,
+            hits,
+            misses,
+            streamed,
         })
     }
 
+    /// Answers an admission rejection: one `Busy` frame for v2, a typed
+    /// `Busy` refusal inside the envelope for v1.
+    fn reject(
+        &self,
+        req: EvalRequest,
+        retry_after_ms: u64,
+        sink: &mut dyn FrameSink,
+    ) -> io::Result<Served> {
+        self.tally.note_rejected();
+        let id = req.id;
+        if req.version == API_V2 {
+            sink.send(&Response::Busy {
+                id: id.clone(),
+                retry_after_ms,
+            })?;
+        } else {
+            sink.send(&Response::Eval(EvalResponse::refusal(
+                id.clone(),
+                SweepError::Busy { retry_after_ms },
+            )))?;
+        }
+        Ok(Served::Rejected { id, retry_after_ms })
+    }
+
     /// The memoized cells answering a request, if the warm path
-    /// applies: the memo mirrors the result cache, so it is only
-    /// consulted when a cache is attached (without one, a repeat
-    /// request genuinely recomputes and must report misses), never
-    /// under `force`, and only when *every* cell of the batch is
-    /// memoized (cells memoized by any earlier batch count — the keys
-    /// are per cell, so overlapping grids share).
-    fn memo_lookup(&self, req: &crate::api::EvalRequest) -> Option<Arc<BatchEntry>> {
-        if req.force || self.engine.cache().is_none() {
+    /// applies: only on a local backend, and the memo mirrors the
+    /// result cache, so it is only consulted when a cache is attached
+    /// (without one, a repeat request genuinely recomputes and must
+    /// report misses), never under `force`, and only when *every* cell
+    /// of the batch is memoized (cells memoized by any earlier batch
+    /// count — the keys are per cell, so overlapping grids share).
+    fn memo_lookup(&self, req: &EvalRequest) -> Option<Arc<BatchEntry>> {
+        let Backend::Local {
+            engine,
+            memo,
+            batch_memo,
+            ..
+        } = &self.backend
+        else {
+            return None;
+        };
+        if req.force || engine.cache().is_none() {
             return None;
         }
         // Batch fingerprint first: a repeat of a known request shape
         // answers with one hash and one map probe, skipping the
         // per-cell key derivation below entirely.
         let key = BatchMemo::key(&req.scenarios);
-        if let Some(entry) = self.batch_memo.lock().expect("batch memo lock").lookup(key) {
+        let mut batches = batch_memo.lock().expect("batch memo lock");
+        if let Some(entry) = batches.lookup(key, &req.scenarios) {
             return Some(entry);
         }
-        let cells = self
-            .memo
-            .lock()
-            .expect("memo lock")
-            .lookup_all(&req.scenarios)?;
-        let entry = Arc::new(BatchEntry::assemble(cells));
-        self.batch_memo
-            .lock()
-            .expect("batch memo lock")
-            .insert(key, Arc::clone(&entry));
+        let cells = memo.lock().expect("memo lock").lookup_all(&req.scenarios)?;
+        let entry = Arc::new(BatchEntry {
+            scenarios: req.scenarios.clone(),
+            cells,
+        });
+        batches.insert(key, Arc::clone(&entry));
         Some(entry)
     }
 
@@ -865,498 +1126,142 @@ impl Runtime {
     /// replay must not resurrect stale failures), and without a cache
     /// the memo stays off entirely.
     fn memo_store(&self, report: &SweepReport) {
-        if self.engine.cache().is_none() {
+        let Backend::Local { engine, memo, .. } = &self.backend else {
+            return;
+        };
+        if engine.cache().is_none() {
             return;
         }
-        let mut memo = self.memo.lock().expect("memo lock");
+        let mut memo = memo.lock().expect("memo lock");
         for cell in report.cells.iter().filter(|c| c.error.is_none()) {
             let mut outcome = CellOutcome::from_cell(cell);
             outcome.status = CellStatus::Hit;
             memo.insert(CellMemo::key(&cell.scenario), MemoCell::new(outcome));
         }
     }
-
-    /// Post-admission bookkeeping shared by every eval path: the
-    /// queue-wait histogram sample (receipt → admission) and, when
-    /// tracing is on, the request's span with its `queued` stage
-    /// record. Returns the span id later stages append under.
-    fn observe_admission(
-        &self,
-        req: &crate::api::EvalRequest,
-        received: Instant,
-    ) -> Option<String> {
-        let queued = received.elapsed();
-        telemetry::global().observe_queue_wait(queued);
-        let span = trace::span_for_request(&req.id)?;
-        trace::record(
-            &span,
-            &req.id,
-            &trace_grid(&req.scenarios),
-            "queued",
-            queued,
-            req.scenarios.len(),
-        );
-        Some(span)
-    }
-
-    /// The `flush` stage sample: evaluation end → terminal frame
-    /// buffered toward the client.
-    fn observe_flush(
-        &self,
-        req: &crate::api::EvalRequest,
-        span: Option<&str>,
-        started: Instant,
-        cells: usize,
-    ) {
-        let flushed = started.elapsed();
-        telemetry::global().observe_flush(flushed);
-        if let Some(span) = span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "flush",
-                flushed,
-                cells,
-            );
-        }
-    }
-
-    /// Protocol v1: admission, then one buffered [`EvalResponse`] line.
-    fn eval_buffered(
-        &self,
-        req: crate::api::EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_buffered(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let span = self.observe_admission(&req, received);
-        if let Some(entry) = self.memo_lookup(&req) {
-            return self.eval_buffered_warm(req, ticket, entry, span, sink);
-        }
-        let eval_started = Instant::now();
-        let report = self.request_engine(req.force).run(&req.scenarios);
-        let evaled = eval_started.elapsed();
-        telemetry::global().observe_eval(evaled);
-        if let Some(span) = &span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "eval",
-                evaled,
-                report.cells.len(),
-            );
-        }
-        self.memo_store(&report);
-        let flush_started = Instant::now();
-        let response = EvalResponse::from_report(req.id.clone(), &report);
-        drop(ticket);
-        // Counters commit before the terminal frame: a client reacting
-        // to the response instantly (a `Status` probe, say) must see
-        // this exchange already counted.
-        self.tally
-            .note_eval(report.cells.len(), report.hits, report.misses);
-        sink.send(&Response::Eval(response))?;
-        self.observe_flush(&req, span.as_deref(), flush_started, report.cells.len());
-        Ok(Served::Eval {
-            id: req.id,
-            cells: report.cells.len(),
-            hits: report.hits,
-            misses: report.misses,
-            streamed: false,
-        })
-    }
-
-    /// Protocol v2: `Accepted` at admission, a `Cell` frame per scenario
-    /// in completion order, then `Done` — or one `Busy` frame when the
-    /// gate is full. Warm repeats of memoized batches replay the
-    /// pre-serialized frame bytes instead of re-reading the cache.
-    fn eval_streaming(
-        &self,
-        req: crate::api::EvalRequest,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        let ticket = match self.gate.admit(received, req.deadline_ms) {
-            Ok(ticket) => ticket,
-            Err(busy) => {
-                return reject_streaming(sink, &self.tally, req.id, busy.retry_after_ms);
-            }
-        };
-        let span = self.observe_admission(&req, received);
-        if let Some(entry) = self.memo_lookup(&req) {
-            return self.eval_streaming_warm(req, ticket, entry, span, sink);
-        }
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        // Cell frames are written from the engine's worker threads;
-        // the latch serializes them and, past the first transport
-        // error, stops writing but lets the computation finish (the
-        // cache still fills, so the client's retry is warm).
-        let eval_started = Instant::now();
-        let latch = LatchSink::new(sink);
-        let report = self
-            .request_engine(req.force)
-            .run_with(&req.scenarios, |_, cell| {
-                latch.send(&Response::Cell(CellOutcome::from_cell(cell)));
-            });
-        let evaled = eval_started.elapsed();
-        telemetry::global().observe_eval(evaled);
-        if let Some(span) = &span {
-            trace::record(
-                span,
-                &req.id,
-                &trace_grid(&req.scenarios),
-                "eval",
-                evaled,
-                report.cells.len(),
-            );
-        }
-        self.memo_store(&report);
-        let (sink, error) = latch.finish();
-        if let Some(e) = error {
-            return Err(e);
-        }
-        let flush_started = Instant::now();
-        drop(ticket);
-        self.tally
-            .note_eval(report.cells.len(), report.hits, report.misses);
-        sink.send(&Response::Done {
-            id: req.id.clone(),
-            hits: report.hits,
-            misses: report.misses,
-        })?;
-        self.observe_flush(&req, span.as_deref(), flush_started, report.cells.len());
-        Ok(Served::Eval {
-            id: req.id,
-            cells: report.cells.len(),
-            hits: report.hits,
-            misses: report.misses,
-            streamed: true,
-        })
-    }
-
-    /// The warm (memoized) tail of [`Runtime::eval_buffered`]: the
-    /// response line is spliced around the batch's pre-assembled
-    /// `cells` fragment ([`warm_eval_line`]) instead of cloning and
-    /// re-serializing every outcome. Factored out so
-    /// [`Runtime::try_handle_warm`] can run it on the reactor thread —
-    /// by construction it never computes.
-    fn eval_buffered_warm(
-        &self,
-        req: crate::api::EvalRequest,
-        mut ticket: Ticket<'_>,
-        entry: Arc<BatchEntry>,
-        span: Option<String>,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        ticket.skip_service_record();
-        telemetry::global().note_memo_served();
-        let n = entry.cells.len();
-        let flush_started = Instant::now();
-        let line = warm_eval_line(&req.id, entry.as_ref());
-        // The slot is freed before the response line: a client
-        // reacting to it instantly must see its slot available,
-        // not a stale occupancy (or a spurious `Busy` at depth 1).
-        drop(ticket);
-        self.tally.note_eval(n, n, 0);
-        sink.send_raw(&line)?;
-        self.observe_flush(&req, span.as_deref(), flush_started, n);
-        Ok(Served::Eval {
-            id: req.id,
-            cells: n,
-            hits: n,
-            misses: 0,
-            streamed: false,
-        })
-    }
-
-    /// The warm tail of [`Runtime::eval_streaming`]: `Accepted`, the
-    /// pre-serialized cell frames, `Done`. Shared with
-    /// [`Runtime::try_handle_warm`]; never computes.
-    fn eval_streaming_warm(
-        &self,
-        req: crate::api::EvalRequest,
-        mut ticket: Ticket<'_>,
-        entry: Arc<BatchEntry>,
-        span: Option<String>,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        sink.send(&Response::Accepted {
-            id: req.id.clone(),
-            position: ticket.position(),
-        })?;
-        ticket.skip_service_record();
-        telemetry::global().note_memo_served();
-        let n = entry.cells.len();
-        let flush_started = Instant::now();
-        for cell in &entry.cells {
-            sink.send_raw(&cell.line)?;
-        }
-        drop(ticket);
-        self.tally.note_eval(n, n, 0);
-        sink.send(&Response::Done {
-            id: req.id.clone(),
-            hits: n,
-            misses: 0,
-        })?;
-        self.observe_flush(&req, span.as_deref(), flush_started, n);
-        Ok(Served::Eval {
-            id: req.id,
-            cells: n,
-            hits: n,
-            misses: 0,
-            streamed: true,
-        })
-    }
-
-    /// The engine policy for one admitted request: the shared engine
-    /// with its share of the worker budget (split across everything in
-    /// flight at admission time) and the request's `force` flag.
-    fn request_engine(&self, force: bool) -> Engine {
-        let share = split_jobs(self.jobs_budget, self.gate.occupancy());
-        self.engine.clone().jobs(share).force(force)
-    }
 }
 
-/// The shared request-line dispatch of the single-box [`Runtime`] and
-/// the cluster [`Coordinator`](crate::cluster::Coordinator): decode,
-/// control frames (`Ping`/`Status`/`Shutdown`), malformed lines, and
-/// version routing with the unsupported-version refusal — everything
-/// that must stay byte-identical between the two endpoints lives here
-/// exactly once. The caller supplies its status snapshot and the two
-/// eval paths; `speaker` names the endpoint in the refusal text.
-pub(crate) fn dispatch_line(
-    line: &str,
-    sink: &mut dyn FrameSink,
-    speaker: &str,
-    status: impl FnOnce() -> StatusReport,
-    eval_buffered: impl FnOnce(crate::api::EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
-    eval_streaming: impl FnOnce(crate::api::EvalRequest, &mut dyn FrameSink) -> io::Result<Served>,
-) -> io::Result<Served> {
-    let request = match serde_json::from_str::<Request>(line) {
-        Ok(request) => request,
-        Err(e) => {
-            sink.send(&Response::Error(SweepError::schema("request line", e)))?;
-            return Ok(Served::Malformed);
-        }
-    };
-    match request {
-        Request::Ping => {
-            sink.send(&Response::Pong)?;
-            Ok(Served::Ping)
-        }
-        Request::Status => {
-            sink.send(&Response::Status(status()))?;
-            Ok(Served::Status)
-        }
-        // Control-plane like `Status`: never touches the gate, so a
-        // fully busy server can still be scraped mid-run.
-        Request::Metrics => {
-            sink.send(&Response::Metrics(telemetry::global().snapshot()))?;
-            Ok(Served::Metrics)
-        }
-        Request::Shutdown => {
-            sink.send(&Response::Bye)?;
-            Ok(Served::Shutdown)
-        }
-        Request::Eval(req) => {
-            // Every evaluation request received counts — admitted,
-            // rejected, or refused — so `requests_total` reconciles
-            // with a load generator's sent count. Warm memo hits skip
-            // this dispatch entirely and count in `try_handle_warm`.
-            telemetry::global().note_request();
-            match req.version {
-                API_V1 => eval_buffered(req, sink),
-                API_V2 => eval_streaming(req, sink),
-                other => {
-                    sink.send(&Response::Eval(EvalResponse::refusal(
-                        req.id.clone(),
-                        SweepError::schema(
-                            "request envelope",
-                            format!(
-                                "client speaks version {other}, {speaker} speaks {API_V1} \
-                                 (buffered) and {API_V2} (streamed)"
-                            ),
-                        ),
-                    )))?;
-                    Ok(Served::Refused { id: req.id })
-                }
-            }
-        }
+/// Appends one stage record to the request's trace span, when tracing
+/// is on.
+fn record_stage(span: Option<&str>, req: &EvalRequest, stage: &str, took: Duration, cells: usize) {
+    if let Some(span) = span {
+        trace::record(
+            span,
+            &req.id,
+            &trace_grid(&req.scenarios),
+            stage,
+            took,
+            cells,
+        );
     }
 }
 
 /// The grid label server-side span records aggregate under: the
 /// batch's first scenario id (requests built from the named-grid CLI
 /// are homogeneous, so one id names the whole batch), or `"empty"`.
-pub(crate) fn trace_grid(scenarios: &[Scenario]) -> String {
+fn trace_grid(scenarios: &[Scenario]) -> String {
     scenarios
         .first()
         .map(|s| s.id.clone())
         .unwrap_or_else(|| "empty".into())
 }
 
-/// Assembles the buffered v1 warm response line around a batch's
-/// pre-serialized `cells` fragment — splicing cached bytes instead of
-/// cloning and re-serializing every outcome. Byte-identical to
-/// serializing the equivalent [`Response::Eval`] (a unit test pins
-/// this): the fast path must not be distinguishable on the wire.
-fn warm_eval_line(id: &str, entry: &BatchEntry) -> String {
+/// One cell's v2 frame line, `{"Cell":<outcome>}`.
+fn cell_line(outcome: CellOutcome) -> String {
+    serde_json::to_string(&Response::Cell(outcome)).expect("frame serialization is infallible")
+}
+
+/// The outcome object `X` of a `{"Cell":X}` frame line. A line in any
+/// other spelling (a worker's, say) is decoded and re-serialized, so
+/// the envelope stays canonical.
+fn cell_body(line: &str) -> Cow<'_, str> {
+    if let Some(body) = line
+        .strip_prefix("{\"Cell\":")
+        .and_then(|rest| rest.strip_suffix('}'))
+    {
+        return Cow::Borrowed(body);
+    }
+    match serde_json::from_str::<Response>(line) {
+        Ok(Response::Cell(cell)) => {
+            Cow::Owned(serde_json::to_string(&cell).expect("frame serialization is infallible"))
+        }
+        _ => Cow::Borrowed(line),
+    }
+}
+
+/// The buffered v1 envelope, spliced from the cells' frame lines in
+/// request order. This is the only v1 cell serializer, and it is
+/// byte-identical to serializing the equivalent [`Response::Eval`] (a
+/// unit test pins this): the collector must not be distinguishable on
+/// the wire.
+fn eval_line(id: &str, lines: &[Cow<'_, str>], hits: usize, misses: usize) -> String {
     use std::fmt::Write as _;
     let id_json = serde_json::to_string(id).expect("string serialization is infallible");
-    let n = entry.cells.len();
-    let mut line = String::with_capacity(entry.cells_json.len() + id_json.len() + 64);
+    let cells_len: usize = lines.iter().map(|l| l.len()).sum();
+    let mut line = String::with_capacity(cells_len + id_json.len() + 80);
     let _ = write!(
         line,
-        "{{\"Eval\":{{\"version\":{API_V1},\"id\":{id_json},\"cells\":{cells},\"hits\":{n},\"misses\":0,\"error\":null}}}}",
-        cells = entry.cells_json,
+        "{{\"Eval\":{{\"version\":{API_V1},\"id\":{id_json},\"cells\":["
+    );
+    for (i, cell) in lines.iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        line.push_str(&cell_body(cell));
+    }
+    let _ = write!(
+        line,
+        "],\"hits\":{hits},\"misses\":{misses},\"error\":null}}}}"
     );
     line
 }
 
-/// The shared admission-rejection path for buffered (v1) requests: a
-/// typed `Busy` refusal inside the envelope, with the tally and
-/// [`Served`] bookkeeping both endpoints need.
-pub(crate) fn reject_buffered(
-    sink: &mut dyn FrameSink,
-    tally: &Tally,
-    id: String,
-    retry_after_ms: u64,
-) -> io::Result<Served> {
-    tally.note_rejected();
-    sink.send(&Response::Eval(EvalResponse::refusal(
-        id.clone(),
-        SweepError::Busy { retry_after_ms },
-    )))?;
-    Ok(Served::Rejected { id, retry_after_ms })
+/// The cell lines of one exchange on their way out, emitted from
+/// several threads (engine workers, fan-out dispatch threads) through a
+/// mutex. v2 forwards each line as it arrives; past the first transport
+/// error the sends become no-ops so the producing computation can
+/// finish (its results still land in caches), and the error surfaces
+/// from [`Cells::finish`]. v1 holds the lines by scenario index for one
+/// spliced envelope ([`eval_line`]).
+struct Cells<'a> {
+    inner: Mutex<CellsInner<'a>>,
 }
 
-/// The shared admission-rejection path for streamed (v2) requests: one
-/// `Busy` frame (also used when a cluster fan-out finds every worker
-/// busy after `Accepted` already went out).
-pub(crate) fn reject_streaming(
-    sink: &mut dyn FrameSink,
-    tally: &Tally,
-    id: String,
-    retry_after_ms: u64,
-) -> io::Result<Served> {
-    tally.note_rejected();
-    sink.send(&Response::Busy {
-        id: id.clone(),
-        retry_after_ms,
-    })?;
-    Ok(Served::Rejected { id, retry_after_ms })
+struct CellsInner<'a> {
+    sink: &'a mut dyn FrameSink,
+    error: Option<io::Error>,
+    held: Option<Vec<Cow<'a, str>>>,
 }
 
-/// A shared-by-reference adapter over a [`FrameSink`] for streamed
-/// responses: frames are emitted from several threads (engine workers,
-/// cluster dispatch threads), so sends are serialized through a mutex,
-/// and the *first* transport error is latched instead of propagated —
-/// later sends become no-ops so the producing computation can finish
-/// (its results still land in caches), and the caller surfaces the
-/// latched error once the stream is over via [`LatchSink::finish`].
-pub(crate) struct LatchSink<'a> {
-    inner: Mutex<(&'a mut dyn FrameSink, Option<io::Error>)>,
-}
-
-impl<'a> LatchSink<'a> {
-    pub(crate) fn new(sink: &'a mut dyn FrameSink) -> Self {
+impl<'a> Cells<'a> {
+    /// Forwards to `sink`, or holds `Some(n)` cells for a v1 envelope.
+    /// Every source emits each index exactly once; a gap would be a
+    /// producer bug, answered as a `null` cell the client rejects.
+    fn new(sink: &'a mut dyn FrameSink, hold: Option<usize>) -> Self {
         Self {
-            inner: Mutex::new((sink, None)),
+            inner: Mutex::new(CellsInner {
+                sink,
+                error: None,
+                held: hold.map(|n| vec![Cow::Borrowed("null"); n]),
+            }),
         }
     }
 
-    fn dispatch(&self, send: impl FnOnce(&mut dyn FrameSink) -> io::Result<()>) {
-        let mut guard = self.inner.lock().expect("sink lock");
-        if guard.1.is_some() {
-            return;
+    fn emit(&self, index: usize, line: Cow<'a, str>) {
+        let mut inner = self.inner.lock().expect("cells lock");
+        let inner = &mut *inner;
+        if let Some(held) = &mut inner.held {
+            held[index] = line;
+        } else if inner.error.is_none() {
+            if let Err(e) = inner.sink.send_raw(&line) {
+                inner.error = Some(e);
+            }
         }
-        if let Err(e) = send(guard.0) {
-            guard.1 = Some(e);
-        }
     }
 
-    /// Sends one typed frame (no-op once an error is latched).
-    pub(crate) fn send(&self, frame: &Response) {
-        self.dispatch(|sink| sink.send(frame));
-    }
-
-    /// Forwards one already-serialized frame line (no-op once an error
-    /// is latched).
-    pub(crate) fn send_raw(&self, line: &str) {
-        self.dispatch(|sink| sink.send_raw(line));
-    }
-
-    /// Hands the sink back along with the first error, if any.
-    pub(crate) fn finish(self) -> (&'a mut dyn FrameSink, Option<io::Error>) {
-        self.inner.into_inner().expect("sink lock")
-    }
-}
-
-/// One NDJSON dispatch endpoint: request line in, frames out. Both the
-/// single-box [`Runtime`] and the cluster
-/// [`Coordinator`](crate::cluster::Coordinator) implement this, so the
-/// epoll reactor ([`reactor::serve_reactor`]) serves either without
-/// change.
-pub trait LineHandler: Send + Sync {
-    /// Handles one request line end to end (see
-    /// [`Runtime::handle_line_at`]). `received` is when the transport
-    /// parsed the line off the wire; deadline checks measure from it.
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served>;
-
-    /// [`LineHandler::handle_line_at`] with receipt = now, for callers
-    /// that dispatch synchronously with the read (in-process tests and
-    /// one-shot drivers).
-    fn handle_line(&self, line: &str, sink: &mut dyn FrameSink) -> io::Result<Served> {
-        self.handle_line_at(line, Instant::now(), sink)
-    }
-
-    /// Answers `line` on the calling thread when that cannot involve
-    /// compute, or returns `None` (emitting nothing) to defer it to
-    /// [`LineHandler::handle_line_at`]. The reactor probes this from
-    /// its event thread before paying the worker handoff; the default
-    /// defers everything.
-    fn try_handle_warm(
-        &self,
-        _line: &str,
-        _received: Instant,
-        _sink: &mut dyn FrameSink,
-    ) -> Option<io::Result<Served>> {
-        None
-    }
-}
-
-impl LineHandler for Runtime {
-    fn handle_line_at(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> io::Result<Served> {
-        Runtime::handle_line_at(self, line, received, sink)
-    }
-
-    fn try_handle_warm(
-        &self,
-        line: &str,
-        received: Instant,
-        sink: &mut dyn FrameSink,
-    ) -> Option<io::Result<Served>> {
-        Runtime::try_handle_warm(self, line, received, sink)
+    /// Hands back the sink, the first send error, and the held lines.
+    fn finish(self) -> CellsInner<'a> {
+        self.inner.into_inner().expect("cells lock")
     }
 }
 
@@ -2024,7 +1929,65 @@ mod tests {
             *spliced, rebuilt,
             "spliced warm line must match serde byte-for-byte"
         );
+
+        // Every v1 envelope is spliced, not just memo replays: the cold
+        // (Computed) response and one carrying a Failed cell next to a
+        // cache Hit must survive the same round trip.
+        let failing = Scenario::gemm(
+            crate::scenario::AcceleratorKind::Yoco,
+            crate::scenario::DesignPoint::paper(),
+            crate::scenario::WorkloadSpec::Zoo {
+                model: "no-such-model".into(),
+            },
+        );
+        let mut failed = RawLines::default();
+        rt.handle_line(
+            &line(&Request::Eval(EvalRequest::new(
+                "b-failed",
+                vec![Scenario::study(StudyId::Fig9a), failing],
+            ))),
+            &mut failed,
+        )
+        .unwrap();
+        for (raw, statuses) in [
+            (&cold.0[0], [CellStatus::Computed, CellStatus::Computed]),
+            (&failed.0[0], [CellStatus::Hit, CellStatus::Failed]),
+        ] {
+            let Response::Eval(response) = serde_json::from_str(raw).expect("line parses") else {
+                panic!("expected a buffered Eval response, got {raw}");
+            };
+            let got: Vec<CellStatus> = response.cells.iter().map(|c| c.status).collect();
+            assert_eq!(got, statuses);
+            let rebuilt =
+                serde_json::to_string(&Response::Eval(response)).expect("response serializes");
+            assert_eq!(*raw, rebuilt, "spliced line must match serde byte-for-byte");
+        }
         let _ = std::fs::remove_dir_all(cache.dir());
+    }
+
+    #[test]
+    fn batch_memo_compares_scenarios_on_a_hit() {
+        // Two different batches forced under one fingerprint, as a hash
+        // collision would: the second must miss, not get the first's
+        // cells.
+        let mut memo = BatchMemo::new(4);
+        let a = vec![Scenario::study(StudyId::Fig9a)];
+        let b = vec![Scenario::study(StudyId::Table2)];
+        let key = BatchMemo::key(&a);
+        memo.insert(
+            key,
+            Arc::new(BatchEntry {
+                scenarios: a.clone(),
+                cells: vec![Arc::new(MemoCell {
+                    line: "frame-a".into(),
+                })],
+            }),
+        );
+        assert!(memo.lookup(key, &a).is_some(), "the stored batch hits");
+        assert!(
+            memo.lookup(key, &b).is_none(),
+            "another batch under the same key misses"
+        );
     }
 
     #[test]
@@ -2040,7 +2003,6 @@ mod tests {
                 CellMemo::key(s),
                 MemoCell {
                     line: format!("frame-{}", s.id),
-                    outcome_json: format!("outcome-{}", s.id),
                 },
             );
         }
@@ -2060,7 +2022,6 @@ mod tests {
             CellMemo::key(&scenarios[1]),
             MemoCell {
                 line: "frame-refreshed".into(),
-                outcome_json: "outcome-refreshed".into(),
             },
         );
         assert_eq!(memo.len(), 2);

@@ -1,7 +1,7 @@
 //! The event-driven serve core: one reactor thread multiplexing the
 //! listener and every client connection over the vendored epoll shim
 //! ([`mio`]), with a small worker pool executing request lines against
-//! the socket-free [`LineHandler`].
+//! the socket-free [`Runtime`].
 //!
 //! A thread-per-connection accept loop caps concurrent connections at
 //! "how many stacks can you afford" long before the shared engine is
@@ -34,7 +34,7 @@
 //!   carries no request id, so ordering *is* the framing. Distinct
 //!   connections still run fully in parallel.
 //! * **Backpressure** — frames are appended to a bounded
-//!   per-connection [`OutBuf`]; a partial write keeps the remainder
+//!   per-connection `OutBuf`; a partial write keeps the remainder
 //!   and arms `WRITABLE` interest (EAGAIN requeues the flush), and a
 //!   client that stops reading until the buffer hits its cap is
 //!   disconnected instead of holding server memory hostage.
@@ -47,7 +47,7 @@
 //!   before the loop exits, bounded by a grace period mirroring the
 //!   60 s per-connection write timeout.
 
-use super::{FrameSink, LineHandler, Served};
+use super::{FrameSink, Runtime, Served};
 use crate::api::Response;
 use crate::telemetry;
 use mio::unix::SourceFd;
@@ -309,7 +309,7 @@ impl FrameSink for ReactorSink {
 }
 
 /// The sink for lines answered on the reactor thread itself
-/// ([`LineHandler::try_handle_warm`]): frames append straight to the
+/// ([`Runtime::try_handle_warm`]): frames append straight to the
 /// connection's outbuf with no waker round trip — the event loop
 /// flushes every touched connection in the same pass.
 struct InlineSink {
@@ -367,7 +367,7 @@ impl Conn {
 /// per served request unless `quiet`.
 pub fn serve_reactor(
     listener: TcpListener,
-    handler: Arc<dyn LineHandler>,
+    handler: Arc<Runtime>,
     quiet: bool,
     config: ReactorConfig,
 ) -> io::Result<()> {
@@ -420,11 +420,7 @@ pub fn serve_reactor(
     result
 }
 
-fn worker_loop(
-    rx: Arc<Mutex<mpsc::Receiver<Job>>>,
-    handler: Arc<dyn LineHandler>,
-    shared: Arc<Shared>,
-) {
+fn worker_loop(rx: Arc<Mutex<mpsc::Receiver<Job>>>, handler: Arc<Runtime>, shared: Arc<Shared>) {
     loop {
         // Holding the lock across `recv` just parks the other workers
         // on the mutex instead of the channel; handoff order is
@@ -452,7 +448,7 @@ struct Reactor {
     conns: HashMap<usize, Conn>,
     next_token: usize,
     shared: Arc<Shared>,
-    handler: Arc<dyn LineHandler>,
+    handler: Arc<Runtime>,
     job_tx: Option<mpsc::Sender<Job>>,
     outbuf_cap: usize,
     quiet: bool,
@@ -664,7 +660,7 @@ impl Reactor {
     }
 
     /// Serves the connection's queued lines in request order: warm
-    /// lines ([`LineHandler::try_handle_warm`]) are answered right on
+    /// lines ([`Runtime::try_handle_warm`]) are answered right on
     /// this thread — no worker handoff, no waker round trip; the
     /// response bytes flush in this same event-loop pass — and the
     /// first line needing compute is dispatched to the worker pool.
